@@ -39,7 +39,6 @@ import (
 	"repro/internal/ipfix"
 	"repro/internal/netflow"
 	"repro/internal/pipeline"
-	"repro/internal/simtime"
 )
 
 // Config sizes the simulation. The zero value is not usable; start from
@@ -277,8 +276,10 @@ func (d *Detection) UnmarshalJSON(b []byte) error {
 // a momentary lull; quiesce or Close the feeds first for exact,
 // prompt results. Reset requires quiescent feeds.
 type Detector struct {
-	pipe    *pipeline.Pipeline
-	skipped atomic.Uint64
+	pipe *pipeline.Pipeline
+	// ruleRank is each rule's position in rule-name order (Rotate).
+	ruleRank []int
+	skipped  atomic.Uint64
 	// recordsV4/recordsV6 count records delivered to the pipeline by
 	// subscriber address family, across all feeds (§2.1 hashes both).
 	recordsV4 atomic.Uint64
@@ -320,6 +321,7 @@ func (s *System) NewDetector(d float64) *Detector {
 func (s *System) NewShardedDetector(d float64, shards int) *Detector {
 	return &Detector{
 		pipe:        pipeline.New(s.lab.Dict, d, shards),
+		ruleRank:    ruleNameRank(s.lab.Dict),
 		windowStart: time.Now(),
 	}
 }
@@ -514,32 +516,11 @@ func (d *Detector) FeedIPFIX(msg []byte) error { return d.defaultFeed().FeedIPFI
 func (d *Detector) SkippedRecords() uint64 { return d.skipped.Load() }
 
 // Detections returns every (subscriber, rule) detection so far, sorted
-// for determinism. It synchronizes the pipeline: all observations fed
-// before the call (on any quiescent feed) are reflected.
+// by subscriber, then rule name. It synchronizes the pipeline: all
+// observations fed before the call (on any quiescent feed) are
+// reflected.
 func (d *Detector) Detections() []Detection {
-	dict := d.pipe.Dictionary()
-	var out []Detection
-	d.pipe.EachDetected(func(sub detect.SubID, rule int, first simtime.Hour) {
-		out = append(out, Detection{
-			Subscriber: uint64(sub),
-			Rule:       dict.Rules[rule].Name,
-			Level:      dict.Rules[rule].Level.String(),
-			First:      first.Time(),
-		})
-	})
-	sortDetections(out)
-	return out
-}
-
-// sortDetections orders by subscriber then rule name — the canonical
-// presentation order shared by Detections and WindowResult.
-func sortDetections(list []Detection) {
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Subscriber != list[j].Subscriber {
-			return list[i].Subscriber < list[j].Subscriber
-		}
-		return list[i].Rule < list[j].Rule
-	})
+	return d.detectionRows(d.pipe.Snapshot().Detections())
 }
 
 // Shards returns the number of engine shards the detector runs on.

@@ -7,9 +7,10 @@
 //
 // Architecture (see DESIGN.md for the full three-layer picture):
 //
-//   - one read-loop goroutine per UDP socket, reading into recycled
-//     buffers — the loop never decodes, so a slow feed cannot stall
-//     the socket;
+//   - one read-loop goroutine per UDP socket, reading into the
+//     socket's own buffer and copying each datagram into a recycled
+//     buffer sized to it — the loop never decodes, so a slow feed cannot
+//     stall the socket;
 //   - one accept loop per TCP listener and one read loop per accepted
 //     connection, framing IPFIX messages out of the byte stream by
 //     the header's Length field (stream.go) — NetFlow v9 has no
@@ -227,10 +228,10 @@ type Config struct {
 	// queue is full newly arrived datagrams for it are dropped and
 	// counted, never blocking the socket loop. Default 256.
 	QueueLen int
-	// MaxDatagram sizes the receive buffers and bounds one wire
-	// message on either transport (default 65535, the UDP maximum and
-	// the largest length an IPFIX header can declare; exporters keep
-	// well under path MTU in practice). A TCP message whose Length
+	// MaxDatagram sizes each UDP socket's read buffer and bounds one
+	// wire message on either transport (default 65535, the UDP
+	// maximum and the largest length an IPFIX header can declare;
+	// exporters keep well under path MTU in practice). A TCP message whose Length
 	// field exceeds it is a framing error and kills the connection.
 	MaxDatagram int
 	// ReadBuffer, when positive, requests SO_RCVBUF bytes on each
@@ -299,8 +300,7 @@ func (c *Config) withDefaults() Config {
 // payload, an IPFIX message framed out of a TCP stream, or (with
 // closeSource set) the tear-down marker for a departed stream source.
 type datagram struct {
-	buf   []byte // full-capacity backing buffer, returned to the pool
-	n     int    // payload length
+	buf   []byte // the message, in a pooled buffer returned after decode
 	proto Proto  // listener protocol (ProtoAuto: sniff at decode time)
 	src   sourceKey
 	// closeSource marks a control message: the source has
@@ -316,6 +316,9 @@ type socket struct {
 	// ReadFromUDPAddrPort fast path: ReadFrom allocates a *net.UDPAddr
 	// per datagram, ReadFromUDPAddrPort returns a value netip.AddrPort.
 	udp *net.UDPConn
+	// buf receives every datagram (MaxDatagram bytes); the read loop
+	// copies each one out into a pooled buffer sized to it.
+	buf []byte
 }
 
 // sourceKey identifies one exporter stream: the listener it arrived
@@ -415,7 +418,7 @@ type Server struct {
 	streams []*streamListener
 	addrs   []net.Addr // bound address per configured listener
 	workers []*worker
-	free    chan []byte // recycled receive buffers
+	bufs    *bufPool // recycled message buffers
 
 	// active is the fan-in target: workers[0:active] accept new
 	// sources. Updated by the control loop, read by the dispatchers.
@@ -464,7 +467,7 @@ func Listen(cfg Config, newFeed func() Feed) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		newFeed: newFeed,
-		free:    make(chan []byte, cfg.MaxFeeds*cfg.QueueLen+2*len(cfg.Listeners)),
+		bufs:    newBufPool(cfg.MaxFeeds*cfg.QueueLen + 2*len(cfg.Listeners)),
 		conns:   make(map[net.Conn]struct{}),
 		done:    make(chan struct{}), // haystack:unbounded close-only shutdown broadcast; never carries data
 		addrs:   make([]net.Addr, len(cfg.Listeners)),
@@ -514,7 +517,7 @@ func Listen(cfg Config, newFeed func() Feed) (*Server, error) {
 			}
 		}
 		udp, _ := pc.(*net.UDPConn)
-		s.socks = append(s.socks, &socket{idx: i, proto: l.Proto, pc: pc, udp: udp})
+		s.socks = append(s.socks, &socket{idx: i, proto: l.Proto, pc: pc, udp: udp, buf: make([]byte, cfg.MaxDatagram)})
 		s.addrs[i] = pc.LocalAddr()
 	}
 	for _, sk := range s.socks {
@@ -593,39 +596,86 @@ func (s *Server) Sync() {
 	}
 }
 
-// getBuf takes a datagram buffer from the recycle ring, growing the
-// ring only when it runs dry.
-//
-// haystack:hotpath — runs once per datagram.
-func (s *Server) getBuf() []byte {
-	select {
-	case b := <-s.free:
-		return b
-	default:
-		return make([]byte, s.cfg.MaxDatagram)
-	}
+// Message buffers come in power-of-two size classes from minBufClass
+// up, so a queued message pins at most twice its own size rather than
+// a MaxDatagram-sized buffer.
+const (
+	minBufClass = 2048
+	numBufClass = 6 // 2 KiB … 64 KiB, enough for any IPFIX or UDP message
+)
+
+// bufPool recycles message buffers through one bounded ring per size
+// class. Ringed buffers are kept at full length.
+type bufPool struct {
+	free [numBufClass]chan []byte
 }
 
-// putBuf returns a buffer to the recycle ring, dropping it when the
-// ring is full.
+// newBufPool returns a pool whose rings each keep up to ring buffers.
+func newBufPool(ring int) *bufPool {
+	p := &bufPool{}
+	for c := range p.free {
+		p.free[c] = make(chan []byte, ring)
+	}
+	return p
+}
+
+// fullLength reslices b to its capacity. It is a separate, unannotated
+// function because the hot-path bounds prover reasons about lengths,
+// not capacities.
+func fullLength(b []byte) []byte { return b[:cap(b)] }
+
+// bufClass returns the smallest class holding n bytes (the largest
+// class for n beyond it).
+func bufClass(n int) int {
+	c := 0
+	for c < numBufClass-1 && minBufClass<<c < n {
+		c++
+	}
+	return c
+}
+
+// get returns a buffer of length n from its class ring, allocating
+// one of the class size when the ring runs dry.
 //
 // haystack:hotpath — runs once per datagram.
-func (s *Server) putBuf(b []byte) {
+func (p *bufPool) get(n int) []byte {
+	c := bufClass(n)
+	size := max(n, minBufClass<<c)
 	select {
-	case s.free <- b:
+	case b := <-p.free[c]:
+		if n <= len(b) {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]byte, size)[:n]
+}
+
+// put returns a buffer to its class ring, dropping it when the ring is
+// full or the buffer is no class size.
+//
+// haystack:hotpath — runs once per datagram.
+func (p *bufPool) put(b []byte) {
+	c := bufClass(cap(b))
+	if minBufClass<<c != cap(b) {
+		return
+	}
+	select {
+	case p.free[c] <- fullLength(b):
 	default: // recycle ring full; let it be collected
 	}
 }
 
-// readLoop is the per-socket hot path: read, count, route, hand off.
-// It never decodes and never blocks on a feed.
+// readLoop is the per-socket hot path: read, count, copy into a
+// buffer sized to the datagram, route, hand off. It never decodes and
+// never blocks on a feed.
 //
 // haystack:hotpath — loops once per datagram (time.Sleep appears only
 // on the persistent-read-error path and is deliberately not banned).
 func (s *Server) readLoop(sk *socket) {
 	defer s.readers.Done()
+	scratch := sk.buf
 	for {
-		buf := s.getBuf()
 		var (
 			n   int
 			err error
@@ -633,14 +683,13 @@ func (s *Server) readLoop(sk *socket) {
 		)
 		if sk.udp != nil {
 			// Fast path: no *net.UDPAddr allocated per datagram.
-			n, key.src, err = sk.udp.ReadFromUDPAddrPort(buf)
+			n, key.src, err = sk.udp.ReadFromUDPAddrPort(scratch)
 		} else {
 			var addr net.Addr
-			n, addr, err = sk.pc.ReadFrom(buf)
+			n, addr, err = sk.pc.ReadFrom(scratch)
 			key.src, key.raw = addrKey(addr)
 		}
 		if err != nil {
-			s.putBuf(buf)
 			if errors.Is(err, net.ErrClosed) {
 				return // shutdown
 			}
@@ -658,16 +707,23 @@ func (s *Server) readLoop(sk *socket) {
 		}
 		s.datagrams.Add(1)
 		s.bytes.Add(uint64(n))
+		// A read never returns more than len(scratch); the clamp
+		// keeps the copy provably in bounds.
+		if n < 0 || n > len(scratch) {
+			n = len(scratch)
+		}
+		buf := s.bufs.get(n)
+		copy(buf, scratch[:n])
 		w := s.workerFor(key)
 		select {
-		case w.ch <- datagram{buf: buf, n: n, proto: sk.proto, src: key}:
+		case w.ch <- datagram{buf: buf, proto: sk.proto, src: key}:
 			w.enqueued.Add(1)
 		default:
 			// Full queue: drop like the kernel would if nobody read
 			// the socket, but visibly.
 			w.dropped.Add(1)
 			s.dropped.Add(1)
-			s.putBuf(buf)
+			s.bufs.put(buf)
 		}
 	}
 }
@@ -759,14 +815,7 @@ func (s *Server) decode(w *worker, d datagram) {
 		w.controls.Add(1)
 		return
 	}
-	// d.n is the datagram's read count into d.buf, so it never exceeds
-	// the buffer in practice; the clamp keeps the slice provably in
-	// bounds even if a future producer breaks that invariant.
-	n := d.n
-	if n > len(d.buf) {
-		n = len(d.buf)
-	}
-	msg := d.buf[:n]
+	msg := d.buf
 	proto := d.proto
 	if proto == ProtoAuto {
 		proto = sniff(msg)
@@ -776,7 +825,7 @@ func (s *Server) decode(w *worker, d datagram) {
 		// state for the source.
 		w.errors.Add(1)
 		w.processed.Add(1)
-		s.putBuf(d.buf)
+		s.bufs.put(d.buf)
 		return
 	}
 	feed := w.feeds[d.src] // lock-free: only this goroutine writes
@@ -805,7 +854,7 @@ func (s *Server) decode(w *worker, d datagram) {
 		w.errors.Add(1)
 	}
 	w.processed.Add(1)
-	s.putBuf(d.buf)
+	s.bufs.put(d.buf)
 }
 
 // controlLoop samples the aggregate record rate and retargets the

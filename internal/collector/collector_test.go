@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"sync"
@@ -308,3 +309,95 @@ func TestListenConfigErrors(t *testing.T) {
 		t.Error("unparseable address accepted")
 	}
 }
+
+// A message buffer is sized to its message's power-of-two class, not
+// to MaxDatagram, and recycles only within its class.
+func TestBufPoolSizeClasses(t *testing.T) {
+	p := newBufPool(4)
+	for _, tc := range []struct{ n, cap int }{
+		{16, 2048}, {1200, 2048}, {2048, 2048}, {2049, 4096}, {9000, 16384}, {65535, 65536}, {70000, 70000},
+	} {
+		b := p.get(tc.n)
+		if len(b) != tc.n || cap(b) != tc.cap {
+			t.Errorf("get(%d): len %d cap %d, want cap %d", tc.n, len(b), cap(b), tc.cap)
+		}
+		p.put(b)
+	}
+	b := p.get(1200)
+	b[0] = 'x'
+	p.put(b)
+	if again := p.get(100); cap(again) != 2048 || again[0] != 'x' {
+		t.Errorf("2 KiB buffer was not recycled within its class")
+	}
+	if big := p.get(3000); cap(big) != 4096 {
+		t.Errorf("get(3000) cap %d, want a 4 KiB class buffer", cap(big))
+	}
+	p.put(make([]byte, 3000)) // not a class size: dropped, never handed out
+	for i := 0; i < 8; i++ {
+		if c := cap(p.get(3000)); c != 4096 {
+			t.Fatalf("get(3000) returned a %d-byte buffer", c)
+		}
+	}
+}
+
+// A datagram crossing the socket keeps its exact bytes after the copy
+// out of the read loop's scratch buffer, for sizes on both sides of a
+// class boundary.
+func TestServerCopiesDatagramsExactly(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		seen [][]byte
+	)
+	feed := &copyFeed{fn: func(m []byte) {
+		mu.Lock()
+		seen = append(seen, append([]byte(nil), m...))
+		mu.Unlock()
+	}}
+	srv, err := Listen(Config{Listeners: []Listener{{Addr: "127.0.0.1:0", Proto: ProtoNetFlow}}}, func() Feed { return feed })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("udp", srv.Addrs()[0].String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sizes := []int{3, 2047, 2048, 2049, 9000}
+	for i, n := range sizes {
+		msg := make([]byte, n)
+		for j := range msg {
+			msg[j] = byte(i + j)
+		}
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			srv.Sync()
+			mu.Lock()
+			got := len(seen)
+			mu.Unlock()
+			if got > i {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("datagram %d (%d bytes) never arrived", i, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		mu.Lock()
+		if !bytes.Equal(seen[i], msg) {
+			t.Errorf("datagram of %d bytes arrived as %d different bytes", n, len(seen[i]))
+		}
+		mu.Unlock()
+	}
+}
+
+// copyFeed hands every message to fn.
+type copyFeed struct{ fn func([]byte) }
+
+func (f *copyFeed) FeedNetFlow(m []byte) error { f.fn(m); return nil }
+func (f *copyFeed) FeedIPFIX(m []byte) error   { f.fn(m); return nil }
+func (f *copyFeed) Stats() FeedStats           { return FeedStats{} }
+func (f *copyFeed) Close()                     {}

@@ -45,35 +45,40 @@ type streamListener struct {
 	ln  net.Listener
 }
 
-// nextIPFIXMessage frames one IPFIX message out of r into buf (whose
-// length must be at least maxMsg ≥ ipfixHeaderLen) and returns the
-// message length. Errors are either errFraming (stream desynced:
-// wrong version, undersized or oversized length), io.EOF (clean close
-// between messages), or the transport error that interrupted the
-// read (io.ErrUnexpectedEOF for a stream truncated mid-message).
-func nextIPFIXMessage(r io.Reader, buf []byte, maxMsg int) (int, error) {
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+// nextIPFIXMessage frames one IPFIX message (at most maxMsg ≥
+// ipfixHeaderLen bytes) out of r into a buffer from pool sized by the
+// header's Length field, and returns it; the caller puts it back.
+// Errors are either errFraming (stream desynced: wrong version,
+// undersized or oversized length), io.EOF (clean close between
+// messages), or the transport error that interrupted the read
+// (io.ErrUnexpectedEOF for a stream truncated mid-message).
+func nextIPFIXMessage(r io.Reader, maxMsg int, pool *bufPool) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			// 1-3 bytes then EOF: a truncated header is a framing
 			// problem, not a clean close.
-			return 0, fmt.Errorf("%w: truncated message header", errFraming)
+			return nil, fmt.Errorf("%w: truncated message header", errFraming)
 		}
-		return 0, err
+		return nil, err
 	}
-	if v := binary.BigEndian.Uint16(buf[0:2]); v != ipfixStreamVersion {
-		return 0, fmt.Errorf("%w: version %d (want %d)", errFraming, v, ipfixStreamVersion)
+	if v := binary.BigEndian.Uint16(hdr[0:2]); v != ipfixStreamVersion {
+		return nil, fmt.Errorf("%w: version %d (want %d)", errFraming, v, ipfixStreamVersion)
 	}
-	n := int(binary.BigEndian.Uint16(buf[2:4]))
+	n := int(binary.BigEndian.Uint16(hdr[2:4]))
 	if n < ipfixHeaderLen || n > maxMsg {
-		return 0, fmt.Errorf("%w: message length %d (want %d..%d)", errFraming, n, ipfixHeaderLen, maxMsg)
+		return nil, fmt.Errorf("%w: message length %d (want %d..%d)", errFraming, n, ipfixHeaderLen, maxMsg)
 	}
-	if _, err := io.ReadFull(r, buf[4:n]); err != nil {
+	buf := pool.get(n)
+	copy(buf, hdr[:])
+	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+		pool.put(buf)
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, err
+		return nil, err
 	}
-	return n, nil
+	return buf, nil
 }
 
 // acceptLoop owns one TCP listener: accept, count, hand the
@@ -143,10 +148,8 @@ func (s *Server) connLoop(sl *streamListener, c net.Conn) {
 		if s.cfg.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		buf := s.getBuf()
-		n, err := nextIPFIXMessage(c, buf, maxMsg)
+		buf, err := nextIPFIXMessage(c, maxMsg, s.bufs)
 		if err != nil {
-			s.putBuf(buf)
 			if errors.Is(err, errFraming) {
 				s.framingErrors.Add(1)
 			} else if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
@@ -168,11 +171,12 @@ func (s *Server) connLoop(sl *streamListener, c net.Conn) {
 			}
 			break
 		}
+		n := len(buf)
 		if w == nil {
 			w = s.workerFor(key)
 		}
 		select {
-		case w.ch <- datagram{buf: buf, n: n, proto: ProtoIPFIX, src: key}:
+		case w.ch <- datagram{buf: buf, proto: ProtoIPFIX, src: key}:
 			w.enqueued.Add(1)
 		default:
 			// Full queue: drop visibly, exactly like the UDP path —
@@ -180,7 +184,7 @@ func (s *Server) connLoop(sl *streamListener, c net.Conn) {
 			// into a TCP zero-window and back up the exporter.
 			w.dropped.Add(1)
 			s.dropped.Add(1)
-			s.putBuf(buf)
+			s.bufs.put(buf)
 		}
 		// Counted after the enqueue attempt: anyone who has seen
 		// stream_messages reach N may rely on all N being enqueued

@@ -65,21 +65,22 @@ func TestParseListenerStream(t *testing.T) {
 // every malformation class directly, without sockets.
 func TestNextIPFIXMessage(t *testing.T) {
 	msg := streamMsg('m', 12)
-	buf := make([]byte, 65535)
+	pool := newBufPool(1)
 
 	// Whole messages back to back, delivered one byte per Read — the
 	// framer must reassemble across every possible read boundary.
 	stream := append(append([]byte{}, msg...), streamMsg('n', 0)...)
 	r := iotest.OneByteReader(bytes.NewReader(stream))
-	n, err := nextIPFIXMessage(r, buf, 65535)
-	if err != nil || n != len(msg) || !bytes.Equal(buf[:n], msg) {
-		t.Fatalf("first frame: n=%d err=%v", n, err)
+	buf, err := nextIPFIXMessage(r, 65535, pool)
+	if err != nil || !bytes.Equal(buf, msg) {
+		t.Fatalf("first frame: n=%d err=%v", len(buf), err)
 	}
-	n, err = nextIPFIXMessage(r, buf, 65535)
-	if err != nil || n != ipfixHeaderLen || buf[4] != 'n' {
-		t.Fatalf("second frame: n=%d err=%v", n, err)
+	pool.put(buf)
+	buf, err = nextIPFIXMessage(r, 65535, pool)
+	if err != nil || len(buf) != ipfixHeaderLen || buf[4] != 'n' {
+		t.Fatalf("second frame: n=%d err=%v", len(buf), err)
 	}
-	if _, err = nextIPFIXMessage(r, buf, 65535); !errors.Is(err, io.EOF) {
+	if _, err = nextIPFIXMessage(r, 65535, pool); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
 
@@ -102,7 +103,7 @@ func TestNextIPFIXMessage(t *testing.T) {
 		case "length too big":
 			binary.BigEndian.PutUint16(in[2:4], 60000)
 		}
-		if _, err := nextIPFIXMessage(bytes.NewReader(in), buf, 1024); !errors.Is(err, tc.wantErr) {
+		if _, err := nextIPFIXMessage(bytes.NewReader(in), 1024, pool); !errors.Is(err, tc.wantErr) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.wantErr)
 		}
 	}
@@ -525,16 +526,17 @@ func FuzzStreamFramer(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		buf := make([]byte, 65535)
+		pool := newBufPool(1)
 		consumed := 0
 		for {
-			n, err := nextIPFIXMessage(r, buf, 65535)
+			buf, err := nextIPFIXMessage(r, 65535, pool)
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, errFraming) {
 					t.Fatalf("unexpected error class: %v", err)
 				}
 				return
 			}
+			n := len(buf)
 			if n < ipfixHeaderLen || n > 65535 {
 				t.Fatalf("framed length %d out of bounds", n)
 			}
@@ -548,6 +550,7 @@ func FuzzStreamFramer(f *testing.F) {
 				t.Fatal("framer corrupted message bytes")
 			}
 			consumed += n
+			pool.put(buf)
 		}
 	})
 }

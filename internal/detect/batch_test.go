@@ -104,8 +104,8 @@ func TestObserveBatchMatchesObserveLoop(t *testing.T) {
 }
 
 // Once subscribers and rule states exist, the batch observe path must
-// not allocate: the engine's per-record work is map reads, association
-// list walks, and integer updates.
+// not allocate: the engine's per-record work is a table probe, a chain
+// walk, and integer updates.
 func TestObserveBatchZeroAllocs(t *testing.T) {
 	obs, e, _ := obsStream(t, 512)
 	e.ObserveBatch(obs) // warm: create subscriber + rule states

@@ -14,10 +14,12 @@
 package detect
 
 import (
+	"math"
 	"math/bits"
 	"net/netip"
 
 	"repro/internal/rules"
+	"repro/internal/simrand"
 	"repro/internal/simtime"
 )
 
@@ -33,38 +35,37 @@ func (b *bitset) count() int {
 	return bits.OnesCount64(b[0]) + bits.OnesCount64(b[1])
 }
 
-// ruleState is per-(subscriber, rule) evidence. Subscribers touch very
-// few rules, so states live in a small association list.
+// ruleState is per-(subscriber, rule) evidence: 40 bytes and no
+// pointers, so the garbage collector never scans the slab holding it.
+// A subscriber's states form a chain through the slab, newest first.
 type ruleState struct {
-	rule      int
 	bits      bitset
 	pkts      uint64       // sampled packets attributed to the rule
-	firstHour simtime.Hour // first hour the rule fired (0 = not yet)
+	firstHour simtime.Hour // hour the rule fired (valid once detected)
+	next      uint32       // slab index of the chain's next state; noState ends it
+	rule      uint16
 	detected  bool
 }
 
-type subState struct {
-	states []ruleState
+// slot is one entry of the open-addressing subscriber table.
+type slot struct {
+	sub  SubID
+	head uint32 // slab index of the subscriber's newest rule state
+	// n counts the states chained from head. Every tracked subscriber
+	// holds at least one, so n == 0 marks a free slot and SubID 0
+	// needs no sentinel.
+	n uint32
 }
 
-func (s *subState) get(rule int) *ruleState {
-	for i := range s.states {
-		if s.states[i].rule == rule {
-			return &s.states[i]
-		}
-	}
-	s.states = append(s.states, ruleState{rule: rule})
-	return &s.states[len(s.states)-1]
-}
-
-func (s *subState) lookup(rule int) *ruleState {
-	for i := range s.states {
-		if s.states[i].rule == rule {
-			return &s.states[i]
-		}
-	}
-	return nil
-}
+const (
+	// noState terminates a chain. It is above every valid slab index,
+	// so a bounds check on the slab also ends the walk.
+	noState = math.MaxUint32
+	// minSlots is the table size at a window's first subscriber.
+	minSlots = 16
+	// maxRules is what ruleState.rule can name.
+	maxRules = math.MaxUint16 + 1
+)
 
 // Engine applies a dictionary at a fixed detection threshold.
 // Not safe for concurrent use; shard subscribers across engines for
@@ -74,7 +75,21 @@ type Engine struct {
 	// D is the detection threshold of §4.3.2.
 	D       float64
 	minDoms []int
-	subs    map[SubID]*subState
+	// children lists, per rule, the rules gated on it by RequireParent,
+	// in index order.
+	children [][]int
+
+	// slots is the subscriber table: a power-of-two array probed
+	// linearly from the top bits of the subscriber's Mix64 hash. The
+	// pipeline shards by that hash modulo the shard count, so within a
+	// shard its low bits are correlated; the top bits are not. Nil
+	// until the window's first subscriber.
+	slots []slot
+	shift uint // 64 - log2(len(slots)); 64 while slots is nil
+	used  int  // occupied slots
+	// slab holds every (subscriber, rule) state of the window.
+	slab []ruleState
+
 	// detections counts currently-detected subscribers per rule.
 	detections []int
 
@@ -92,23 +107,133 @@ type Engine struct {
 // New returns an engine with detection threshold d. The paper's
 // conservative default is 0.4.
 func New(dict *rules.Dictionary, d float64) *Engine {
+	if len(dict.Rules) > maxRules {
+		panic("detect: dictionary has more rules than the engine can index")
+	}
 	e := &Engine{dict: dict, D: d}
 	e.minDoms = make([]int, len(dict.Rules))
+	e.children = make([][]int, len(dict.Rules))
 	for i := range dict.Rules {
-		e.minDoms[i] = dict.Rules[i].MinDomains(d)
+		r := &dict.Rules[i]
+		e.minDoms[i] = r.MinDomains(d)
+		if r.RequireParent && r.Parent >= 0 {
+			e.children[r.Parent] = append(e.children[r.Parent], i)
+		}
 	}
 	e.Reset()
 	return e
 }
 
 // Reset clears all subscriber state (start of a new aggregation bin).
+// It releases the table and the slab rather than keeping their
+// capacity: a quiet window must not hold the memory of a busy one.
 func (e *Engine) Reset() {
-	e.subs = make(map[SubID]*subState)
+	e.slots, e.slab, e.used, e.shift = nil, nil, 0, 64
 	e.detections = make([]int, len(e.dict.Rules))
 }
 
 // Dictionary returns the engine's dictionary.
 func (e *Engine) Dictionary() *rules.Dictionary { return e.dict }
+
+// probe returns the index of sub's slot and true, or the index of the
+// free slot where sub belongs and false. The table is never full, so
+// the walk ends; on an empty table it returns (0, false).
+//
+// haystack:hotpath — runs once per subscriber run and per point query.
+func (e *Engine) probe(sub SubID) (uint, bool) {
+	slots := e.slots
+	mask := uint(len(slots)) - 1
+	for i := uint(simrand.Mix64(uint64(sub)) >> e.shift); i < uint(len(slots)); i = (i + 1) & mask {
+		if slots[i].n == 0 {
+			return i, false
+		}
+		if slots[i].sub == sub {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// chainFind returns the slab index of rule's state in the chain that
+// starts at head, or -1.
+//
+// haystack:hotpath — runs once per (observation, target).
+func (e *Engine) chainFind(head uint32, rule int) int {
+	slab := e.slab
+	for j := int(head); j < len(slab); j = int(slab[j].next) {
+		if int(slab[j].rule) == rule {
+			return j
+		}
+	}
+	return -1
+}
+
+// stateIn returns the slab index of rule's state for the subscriber in
+// slot si, chaining a fresh state when the subscriber has none.
+//
+// haystack:hotpath — runs once per (observation, target).
+func (e *Engine) stateIn(si uint, rule int) int {
+	if si >= uint(len(e.slots)) {
+		panic("detect: slot index out of range")
+	}
+	s := &e.slots[si]
+	if j := e.chainFind(s.head, rule); j >= 0 {
+		return j
+	}
+	j := len(e.slab)
+	if j >= noState {
+		panic("detect: rule-state slab exceeds 2^32-1 entries")
+	}
+	e.slab = append(e.slab, ruleState{rule: uint16(rule), next: s.head})
+	s.head = uint32(j)
+	s.n++
+	return j
+}
+
+// track returns sub's slot index, inserting the subscriber when it is
+// new. The caller must chain a state onto a new subscriber (stateIn)
+// before probing again: a slot without states reads as free.
+func (e *Engine) track(sub SubID) uint {
+	si, ok := e.probe(sub)
+	if ok {
+		return si
+	}
+	if 4*(e.used+1) > 3*len(e.slots) {
+		e.grow()
+		si, _ = e.probe(sub)
+	}
+	e.slots[si] = slot{sub: sub, head: noState}
+	e.used++
+	return si
+}
+
+// grow doubles the subscriber table (or allocates the first one) and
+// re-inserts every subscriber.
+func (e *Engine) grow() {
+	old := e.slots
+	n := max(minSlots, 2*len(old))
+	e.slots = make([]slot, n)
+	e.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if old[i].n != 0 {
+			si, _ := e.probe(old[i].sub)
+			e.slots[si] = old[i]
+		}
+	}
+}
+
+// lookup returns (sub, rule)'s state, or nil when it has none.
+func (e *Engine) lookup(sub SubID, rule int) *ruleState {
+	si, ok := e.probe(sub)
+	if !ok {
+		return nil
+	}
+	j := e.chainFind(e.slots[si].head, rule)
+	if j < 0 {
+		return nil
+	}
+	return &e.slab[j]
+}
 
 // Observe feeds one sampled flow observation: subscriber sub exchanged
 // pkts sampled packets with service endpoint (ip, port) during hour h.
@@ -118,17 +243,10 @@ func (e *Engine) Observe(sub SubID, h simtime.Hour, ip netip.Addr, port uint16, 
 	if len(targets) == 0 {
 		return nil
 	}
-	st := e.subs[sub]
-	if st == nil {
-		st = &subState{}
-		e.subs[sub] = st
-	}
+	si := e.track(sub)
 	var fired []int
 	for _, t := range targets {
-		rs := st.get(t.Rule)
-		rs.bits.set(t.Bit)
-		rs.pkts += pkts
-		fired = e.evaluate(sub, st, t.Rule, h, fired)
+		e.apply(sub, si, t, h, pkts, &fired)
 	}
 	return fired
 }
@@ -149,17 +267,18 @@ type Obs struct {
 // ObserveBatch feeds a batch of observations. It is semantically
 // identical to calling Observe for each element in order — OnFire
 // fires for exactly the same (subscriber, rule, hour) sequence — but
-// amortizes per-record costs: the subscriber-state map lookup is
-// hoisted across runs of consecutive same-subscriber observations,
-// the common shape after a decoded flow batch is partitioned by
-// shard. Newly-fired rules are reported only through OnFire.
+// amortizes per-record costs: the subscriber-table probe is hoisted
+// across runs of consecutive same-subscriber observations, the common
+// shape after a decoded flow batch is partitioned by shard.
+// Newly-fired rules are reported only through OnFire.
 //
 // haystack:hotpath — runs once per shard batch, the innermost loop of
 // the socket-to-detection path.
 func (e *Engine) ObserveBatch(obs []Obs) {
 	var (
-		cur SubID
-		st  *subState
+		cur  SubID
+		si   uint
+		have bool
 	)
 	for i := range obs {
 		o := &obs[i]
@@ -167,53 +286,57 @@ func (e *Engine) ObserveBatch(obs []Obs) {
 		if len(targets) == 0 {
 			continue
 		}
-		if st == nil || o.Sub != cur {
-			cur = o.Sub
-			st = e.subs[cur]
-			if st == nil {
-				st = &subState{}
-				e.subs[cur] = st
-			}
+		if !have || o.Sub != cur {
+			// A new subscriber may grow the table, which only moves
+			// the slot of the subscriber being looked up.
+			cur, si, have = o.Sub, e.track(o.Sub), true
 		}
 		for _, t := range targets {
-			rs := st.get(t.Rule)
-			rs.bits.set(t.Bit)
-			rs.pkts += o.Pkts
-			e.evaluate(cur, st, t.Rule, o.Hour, nil)
+			e.apply(cur, si, t, o.Hour, o.Pkts, nil)
 		}
 	}
 }
 
-// evaluate re-checks a rule (and its dependents) after new evidence.
-func (e *Engine) evaluate(sub SubID, st *subState, rule int, h simtime.Hour, fired []int) []int {
-	rs := st.lookup(rule)
-	if rs == nil || rs.detected {
-		return fired
+// apply records one target's evidence for the subscriber in slot si
+// and re-evaluates the rule, appending newly-fired rules to *fired
+// when fired is non-nil.
+func (e *Engine) apply(sub SubID, si uint, t rules.Target, h simtime.Hour, pkts uint64, fired *[]int) {
+	j := e.stateIn(si, t.Rule)
+	rs := &e.slab[j]
+	rs.bits.set(t.Bit)
+	rs.pkts += pkts
+	e.evaluate(sub, e.slots[si].head, j, h, fired)
+}
+
+// evaluate re-checks the rule whose state is slab[j] (and its
+// dependents) after new evidence; head starts the subscriber's chain.
+func (e *Engine) evaluate(sub SubID, head uint32, j int, h simtime.Hour, fired *[]int) {
+	rs := &e.slab[j]
+	rule := int(rs.rule)
+	if rs.detected || rs.bits.count() < e.minDoms[rule] {
+		return
 	}
-	if rs.bits.count() < e.minDoms[rule] {
-		return fired
-	}
-	r := &e.dict.Rules[rule]
-	if r.RequireParent && r.Parent >= 0 {
-		ps := st.lookup(r.Parent)
-		if ps == nil || !ps.detected {
-			return fired
+	if r := &e.dict.Rules[rule]; r.RequireParent && r.Parent >= 0 {
+		p := e.chainFind(head, r.Parent)
+		if p < 0 || !e.slab[p].detected {
+			return
 		}
 	}
 	rs.detected = true
 	rs.firstHour = h
 	e.detections[rule]++
-	fired = append(fired, rule)
+	if fired != nil {
+		*fired = append(*fired, rule)
+	}
 	if e.OnFire != nil {
 		e.OnFire(sub, rule, h)
 	}
 	// A newly-confirmed parent may release children waiting on it.
-	for i := range e.dict.Rules {
-		if e.dict.Rules[i].RequireParent && e.dict.Rules[i].Parent == rule {
-			fired = e.evaluate(sub, st, i, h, fired)
+	for _, c := range e.children[rule] {
+		if k := e.chainFind(head, c); k >= 0 {
+			e.evaluate(sub, head, k, h, fired)
 		}
 	}
-	return fired
 }
 
 // Restore marks (sub, rule) as already detected with the given first
@@ -227,12 +350,7 @@ func (e *Engine) Restore(sub SubID, rule int, first simtime.Hour) {
 	if rule < 0 || rule >= len(e.dict.Rules) {
 		return
 	}
-	st := e.subs[sub]
-	if st == nil {
-		st = &subState{}
-		e.subs[sub] = st
-	}
-	rs := st.get(rule)
+	rs := &e.slab[e.stateIn(e.track(sub), rule)]
 	if rs.detected {
 		return
 	}
@@ -243,22 +361,14 @@ func (e *Engine) Restore(sub SubID, rule int, first simtime.Hour) {
 
 // Detected reports whether the rule has fired for the subscriber.
 func (e *Engine) Detected(sub SubID, rule int) bool {
-	st := e.subs[sub]
-	if st == nil {
-		return false
-	}
-	rs := st.lookup(rule)
+	rs := e.lookup(sub, rule)
 	return rs != nil && rs.detected
 }
 
 // FirstDetection returns the hour a rule first fired for a subscriber
 // and whether it fired at all.
 func (e *Engine) FirstDetection(sub SubID, rule int) (simtime.Hour, bool) {
-	st := e.subs[sub]
-	if st == nil {
-		return 0, false
-	}
-	rs := st.lookup(rule)
+	rs := e.lookup(sub, rule)
 	if rs == nil || !rs.detected {
 		return 0, false
 	}
@@ -278,9 +388,12 @@ func (e *Engine) CountDetected(rule int) int {
 // fired rule.
 func (e *Engine) CountAnyDetected() int {
 	n := 0
-	for _, st := range e.subs {
-		for i := range st.states {
-			if st.states[i].detected {
+	for i := range e.slots {
+		if e.slots[i].n == 0 {
+			continue
+		}
+		for j := int(e.slots[i].head); j < len(e.slab); j = int(e.slab[j].next) {
+			if e.slab[j].detected {
 				n++
 				break
 			}
@@ -291,29 +404,29 @@ func (e *Engine) CountAnyDetected() int {
 
 // Subscribers returns the number of tracked subscribers (those with at
 // least one dictionary hit).
-func (e *Engine) Subscribers() int { return len(e.subs) }
+func (e *Engine) Subscribers() int { return e.used }
 
 // RulePackets returns the sampled packets attributed to (sub, rule) so
 // far in this bin — the §7.1 usage signal (threshold 10/hour for
 // "actively used").
 func (e *Engine) RulePackets(sub SubID, rule int) uint64 {
-	st := e.subs[sub]
-	if st == nil {
-		return 0
+	if rs := e.lookup(sub, rule); rs != nil {
+		return rs.pkts
 	}
-	rs := st.lookup(rule)
-	if rs == nil {
-		return 0
-	}
-	return rs.pkts
+	return 0
 }
 
-// EachDetected visits every (subscriber, rule) detection.
+// EachDetected visits every (subscriber, rule) detection, in no
+// particular order.
 func (e *Engine) EachDetected(fn func(sub SubID, rule int, first simtime.Hour)) {
-	for sub, st := range e.subs {
-		for i := range st.states {
-			if st.states[i].detected {
-				fn(sub, st.states[i].rule, st.states[i].firstHour)
+	for i := range e.slots {
+		s := &e.slots[i]
+		if s.n == 0 {
+			continue
+		}
+		for j := int(s.head); j < len(e.slab); j = int(e.slab[j].next) {
+			if rs := &e.slab[j]; rs.detected {
+				fn(s.sub, int(rs.rule), rs.firstHour)
 			}
 		}
 	}

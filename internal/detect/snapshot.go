@@ -1,7 +1,8 @@
 package detect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -24,47 +25,73 @@ type Snapshot struct {
 	list       []Detection
 	ruleFirst  []simtime.Hour // earliest firing hour per rule
 	ruleFired  []bool
+	sorted     bool // list is in (subscriber, rule) order
 }
 
 // Snapshot captures the engine's current detections. The engine may
 // continue to mutate afterwards; the snapshot does not.
 func (e *Engine) Snapshot() *Snapshot {
+	s := e.Capture()
+	s.sort()
+	return s
+}
+
+// Capture is Snapshot without the ordering step, for a caller holding
+// a lock around the engine: it copies the detections in table order,
+// and Merge orders them once the lock is released. A capture must
+// pass through Merge before its detections are read.
+func (e *Engine) Capture() *Snapshot {
 	s := &Snapshot{
 		detections: append([]int(nil), e.detections...),
-		subs:       len(e.subs),
+		subs:       e.used,
 		ruleFirst:  make([]simtime.Hour, len(e.dict.Rules)),
 		ruleFired:  make([]bool, len(e.dict.Rules)),
 	}
-	for sub, st := range e.subs {
+	total := 0
+	for _, n := range e.detections {
+		total += n
+	}
+	if total > 0 {
+		s.list = make([]Detection, 0, total)
+	}
+	for i := range e.slots {
+		sl := &e.slots[i]
+		if sl.n == 0 {
+			continue
+		}
 		any := false
-		for i := range st.states {
-			rs := &st.states[i]
+		for j := int(sl.head); j < len(e.slab); j = int(e.slab[j].next) {
+			rs := &e.slab[j]
 			if !rs.detected {
 				continue
 			}
 			any = true
-			s.list = append(s.list, Detection{Sub: sub, Rule: rs.rule, First: rs.firstHour})
-			if !s.ruleFired[rs.rule] || rs.firstHour < s.ruleFirst[rs.rule] {
-				s.ruleFired[rs.rule] = true
-				s.ruleFirst[rs.rule] = rs.firstHour
+			rule := int(rs.rule)
+			s.list = append(s.list, Detection{Sub: sl.sub, Rule: rule, First: rs.firstHour})
+			if !s.ruleFired[rule] || rs.firstHour < s.ruleFirst[rule] {
+				s.ruleFired[rule] = true
+				s.ruleFirst[rule] = rs.firstHour
 			}
 		}
 		if any {
 			s.any++
 		}
 	}
-	sortDetections(s.list)
 	return s
 }
 
 // Merge combines snapshots taken from engines with disjoint subscriber
-// sets into one. It returns an empty snapshot for no arguments.
+// sets into one. It returns an empty snapshot for no arguments. Parts
+// taken with Capture are ordered in place; the ordered parts are then
+// merged, not re-sorted.
 func Merge(parts ...*Snapshot) *Snapshot {
-	out := &Snapshot{}
+	out := &Snapshot{sorted: true}
+	var lists [][]Detection
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
+		p.sort()
 		if len(out.detections) < len(p.detections) {
 			out.detections = append(out.detections, make([]int, len(p.detections)-len(out.detections))...)
 			out.ruleFirst = append(out.ruleFirst, make([]simtime.Hour, len(p.ruleFirst)-len(out.ruleFirst))...)
@@ -81,19 +108,74 @@ func Merge(parts ...*Snapshot) *Snapshot {
 		}
 		out.any += p.any
 		out.subs += p.subs
-		out.list = append(out.list, p.list...)
+		if len(p.list) > 0 {
+			lists = append(lists, p.list)
+		}
 	}
-	sortDetections(out.list)
+	out.list = mergeSorted(lists)
 	return out
 }
 
-func sortDetections(list []Detection) {
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Sub != list[j].Sub {
-			return list[i].Sub < list[j].Sub
+// sort orders a capture's detections by (subscriber, rule).
+func (s *Snapshot) sort() {
+	if !s.sorted {
+		slices.SortFunc(s.list, compareDetections)
+		s.sorted = true
+	}
+}
+
+func compareDetections(a, b Detection) int {
+	if c := cmp.Compare(a.Sub, b.Sub); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Rule, b.Rule)
+}
+
+// mergeSorted merges ordered detection lists with a binary min-heap
+// keyed by each list's head. A single list is returned as is: both
+// snapshots sharing it are immutable.
+func mergeSorted(lists [][]Detection) []Detection {
+	switch len(lists) {
+	case 0:
+		return nil
+	case 1:
+		return lists[0]
+	}
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]Detection, 0, n)
+	h := lists
+	less := func(i, j int) bool { return compareDetections(h[i][0], h[j][0]) < 0 }
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if r := c + 1; r < len(h) && less(r, c) {
+				c = r
+			}
+			if !less(c, i) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
 		}
-		return list[i].Rule < list[j].Rule
-	})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		out = append(out, h[0][0])
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return out
 }
 
 // CountDetected returns how many subscribers the rule fired for.

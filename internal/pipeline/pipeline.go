@@ -539,7 +539,7 @@ func (p *Pipeline) Rotate() (*detect.Snapshot, uint64) {
 	parts := make([]*detect.Snapshot, len(p.shards))
 	for i, s := range p.shards {
 		s.mu.Lock()
-		parts[i] = s.eng.Snapshot()
+		parts[i] = s.eng.Capture()
 		s.eng.Reset()
 		s.window++
 		s.mu.Unlock()
@@ -712,8 +712,9 @@ func (p *Pipeline) Snapshot() *detect.Snapshot {
 	parts := make([]*detect.Snapshot, len(p.shards))
 	for i, s := range p.shards {
 		s.mu.RLock()
-		parts[i] = s.eng.Snapshot()
+		parts[i] = s.eng.Capture()
 		s.mu.RUnlock()
 	}
+	// Merge orders each shard's capture outside the shard locks.
 	return detect.Merge(parts...)
 }

@@ -7,13 +7,16 @@
 package rules
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
 
 	"repro/internal/catalog"
 	"repro/internal/dedicated"
 	"repro/internal/pdns"
+	"repro/internal/simrand"
 	"repro/internal/simtime"
 )
 
@@ -70,7 +73,13 @@ type Dictionary struct {
 	// pipeline and cannot be used.
 	Dropped []string
 
-	days   map[simtime.Day]map[ipPort][]Target
+	days map[simtime.Day]map[ipPort][]Target
+	// v4 mirrors the IPv4 keys of days as flat tables, indexed by
+	// day - minDay, over one target slab. IPv6 and IPv4-mapped keys
+	// are looked up in days only, so netip.Addr equality is unchanged.
+	v4      []v4Table
+	targets []Target
+
 	byName map[string]int
 	ports  map[string]uint16
 	minDay simtime.Day
@@ -148,17 +157,104 @@ func Compile(cat *catalog.Catalog, census *dedicated.Census, db *pdns.DB, days [
 		}
 		dict.days[day] = m
 	}
+	dict.v4 = make([]v4Table, dict.maxDay-dict.minDay+1)
+	for day, m := range dict.days {
+		dict.v4[day-dict.minDay] = dict.buildV4(m)
+	}
 	return dict, nil
 }
 
+// v4Table is one day's IPv4 hitlist: an open-addressing table of
+// packed (address, port) keys, probed linearly from the top bits of
+// the key's Mix64 hash, at most half full.
+type v4Table struct {
+	slots []v4Slot
+	shift uint // 64 - log2(len(slots)); 64 for an empty table
+}
+
+type v4Slot struct {
+	key uint64 // v4Key of the endpoint; 0 marks a free slot
+	off uint32 // first of the key's targets in Dictionary.targets
+	n   uint32
+}
+
+// v4Key packs an IPv4 endpoint into 49 bits; the marker bit keeps
+// every key non-zero.
+func v4Key(ip netip.Addr, port uint16) uint64 {
+	a := ip.As4()
+	return 1<<48 | uint64(binary.BigEndian.Uint32(a[:]))<<16 | uint64(port)
+}
+
+// buildV4 flattens the IPv4 keys of one day's hitlist, appending their
+// targets to d.targets.
+func (d *Dictionary) buildV4(m map[ipPort][]Target) v4Table {
+	n := 0
+	for k := range m {
+		if k.ip.Is4() {
+			n++
+		}
+	}
+	if n == 0 {
+		return v4Table{shift: 64}
+	}
+	size := 1 << bits.Len(uint(2*n-1))
+	t := v4Table{slots: make([]v4Slot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	for k, ts := range m {
+		if !k.ip.Is4() {
+			continue
+		}
+		key := v4Key(k.ip, k.port)
+		i := t.home(key)
+		for t.slots[i].key != 0 {
+			i = (i + 1) & uint(size-1)
+		}
+		t.slots[i] = v4Slot{key: key, off: uint32(len(d.targets)), n: uint32(len(ts))}
+		d.targets = append(d.targets, ts...)
+	}
+	return t
+}
+
+func (t *v4Table) home(key uint64) uint { return uint(simrand.Mix64(key) >> t.shift) }
+
+// lookup returns key's targets from slab, or nil.
+//
+// haystack:hotpath — runs once per IPv4 observation.
+func (t *v4Table) lookup(key uint64, slab []Target) []Target {
+	slots := t.slots
+	mask := uint(len(slots)) - 1
+	for i := t.home(key); i < uint(len(slots)); i = (i + 1) & mask {
+		if slots[i].key == 0 {
+			return nil
+		}
+		if slots[i].key == key {
+			lo := int(slots[i].off)
+			hi := lo + int(slots[i].n)
+			if lo > hi || hi > len(slab) {
+				return nil
+			}
+			return slab[lo:hi:hi]
+		}
+	}
+	return nil
+}
+
 // Lookup returns the (rule, domain) targets for a service endpoint on a
-// day. Days outside the compiled range clamp to its edges.
+// day. Days outside the compiled range clamp to its edges. The caller
+// must not modify the returned slice.
+//
+// haystack:hotpath — runs once per observation.
 func (d *Dictionary) Lookup(day simtime.Day, ip netip.Addr, port uint16) []Target {
 	if day < d.minDay {
 		day = d.minDay
 	}
 	if day > d.maxDay {
 		day = d.maxDay
+	}
+	if ip.Is4() {
+		if i := int(day - d.minDay); i >= 0 && i < len(d.v4) {
+			return d.v4[i].lookup(v4Key(ip, port), d.targets)
+		}
+		return nil
 	}
 	return d.days[day][ipPort{ip: ip, port: port}]
 }

@@ -1,11 +1,15 @@
 package rules
 
 import (
+	"encoding/binary"
+	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/classify"
 	"repro/internal/dedicated"
+	"repro/internal/simrand"
 	"repro/internal/world"
 )
 
@@ -199,5 +203,43 @@ func BenchmarkLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = dict.Lookup(day, ip, 443)
+	}
+}
+
+// The flat IPv4 tables must answer exactly like the per-day maps: on
+// every compiled key (IPv6 keys still go to the map), on the IPv4-mapped
+// IPv6 spelling of every IPv4 key (a distinct netip.Addr, so a miss
+// unless compiled as such), and on random misses.
+func TestV4TableMatchesMap(t *testing.T) {
+	dict, _ := compileDict(t, 1)
+	rng := simrand.New(77)
+	keys := 0
+	for day, m := range dict.days {
+		for k, want := range m {
+			keys++
+			if got := dict.Lookup(day, k.ip, k.port); !slices.Equal(got, want) {
+				t.Fatalf("day %v %v:%d: table %v, map %v", day, k.ip, k.port, got, want)
+			}
+			if k.ip.Is4() {
+				mapped := netip.AddrFrom16(k.ip.As16())
+				if got, want := dict.Lookup(day, mapped, k.port), m[ipPort{mapped, k.port}]; !slices.Equal(got, want) {
+					t.Fatalf("day %v mapped %v: %v, want %v", day, mapped, got, want)
+				}
+				if got, want := dict.Lookup(day, k.ip, k.port+1), m[ipPort{k.ip, k.port + 1}]; !slices.Equal(got, want) {
+					t.Fatalf("day %v %v:%d: %v, want %v", day, k.ip, k.port+1, got, want)
+				}
+			}
+		}
+		for i := 0; i < 10000; i++ {
+			var a [4]byte
+			binary.BigEndian.PutUint32(a[:], uint32(rng.Uint64()))
+			ip, port := netip.AddrFrom4(a), uint16(rng.Intn(2))*443+uint16(rng.Intn(3))
+			if got, want := dict.Lookup(day, ip, port), m[ipPort{ip, port}]; !slices.Equal(got, want) {
+				t.Fatalf("day %v random %v:%d: %v, want %v", day, ip, port, got, want)
+			}
+		}
+	}
+	if keys == 0 {
+		t.Fatal("dictionary compiled no keys")
 	}
 }

@@ -7,7 +7,12 @@ package haystack
 // export.go writes WindowResults out in the §2.1-anonymized schema.
 
 import (
+	"slices"
+	"strings"
 	"time"
+
+	"repro/internal/detect"
+	"repro/internal/rules"
 )
 
 // WindowConfig configures periodic aggregation-window rotation for a
@@ -109,17 +114,7 @@ func (d *Detector) Rotate() WindowResult {
 		Subscribers:         snap.Subscribers(),
 		DetectedSubscribers: snap.CountAnyDetected(),
 	}
-	for _, dt := range snap.Detections() {
-		res.Detections = append(res.Detections, Detection{
-			Subscriber: uint64(dt.Sub),
-			Rule:       dict.Rules[dt.Rule].Name,
-			Level:      dict.Rules[dt.Rule].Level.String(),
-			First:      dt.First.Time(),
-		})
-	}
-	// The snapshot orders by rule index; present rule names in the
-	// same order Detections() sorts.
-	sortDetections(res.Detections)
+	res.Detections = d.detectionRows(snap.Detections())
 	for i := range dict.Rules {
 		if n := snap.CountDetected(i); n > 0 {
 			if res.RuleCounts == nil {
@@ -136,4 +131,54 @@ func (d *Detector) Rotate() WindowResult {
 	res.SkippedRecords = d.base.skipped - base.skipped
 	res.EventsDropped = d.base.evDropped - base.evDropped
 	return res
+}
+
+// detectionRows presents a snapshot's detections, ordered by
+// (subscriber, rule index), in the canonical order of Detections and
+// WindowResult: subscriber, then rule name. Only each subscriber's run
+// needs re-ordering, by the rules' name rank.
+func (d *Detector) detectionRows(list []detect.Detection) []Detection {
+	if len(list) == 0 {
+		return nil
+	}
+	dict := d.pipe.Dictionary()
+	out := make([]Detection, 0, len(list))
+	var run []detect.Detection
+	for len(list) > 0 {
+		n := 1
+		for n < len(list) && list[n].Sub == list[0].Sub {
+			n++
+		}
+		run = append(run[:0], list[:n]...)
+		list = list[n:]
+		for i := 1; i < len(run); i++ {
+			for j := i; j > 0 && d.ruleRank[run[j].Rule] < d.ruleRank[run[j-1].Rule]; j-- {
+				run[j], run[j-1] = run[j-1], run[j]
+			}
+		}
+		for _, dt := range run {
+			r := &dict.Rules[dt.Rule]
+			out = append(out, Detection{
+				Subscriber: uint64(dt.Sub),
+				Rule:       r.Name,
+				Level:      r.Level.String(),
+				First:      dt.First.Time(),
+			})
+		}
+	}
+	return out
+}
+
+// ruleNameRank returns each rule's position in rule-name order.
+func ruleNameRank(dict *rules.Dictionary) []int {
+	byName := make([]int, len(dict.Rules))
+	for i := range byName {
+		byName[i] = i
+	}
+	slices.SortFunc(byName, func(a, b int) int { return strings.Compare(dict.Rules[a].Name, dict.Rules[b].Name) })
+	rank := make([]int, len(byName))
+	for r, i := range byName {
+		rank[i] = r
+	}
+	return rank
 }

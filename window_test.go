@@ -6,10 +6,13 @@ package haystack
 // its WindowResult exactly.
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -492,4 +495,15 @@ fed:
 	if st := det.Stats(); st.RecordsIPv4 != 50 || st.SkippedRecords != 1 {
 		t.Fatalf("cumulative counters reset by rotation: %+v", st)
 	}
+}
+
+// sortDetections orders by subscriber then rule name, independently of
+// the rank-table ordering Detections and Rotate use.
+func sortDetections(list []Detection) {
+	slices.SortFunc(list, func(a, b Detection) int {
+		if c := cmp.Compare(a.Subscriber, b.Subscriber); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Rule, b.Rule)
+	})
 }
