@@ -357,6 +357,15 @@ func (d *Detector) NewFeed() *Feed {
 	}
 }
 
+// Flush hands the feed's buffered observations to the shard workers
+// without waiting for them to be applied. A feed dispatches on its
+// own only once a shard's batch fills (pipeline.DefaultBatchSize
+// observations), so an embedder that feeds in bursts calls Flush when
+// a burst ends to get its detections promptly; under Listen the
+// socket layer does this whenever a lane's queue drains. Reads
+// (Detections, Rotate) flush every feed themselves.
+func (f *Feed) Flush() { f.prod.Flush() }
+
 // Close flushes the feed's buffered observations and releases its
 // producer. The detector stays readable; closing twice is a no-op.
 func (f *Feed) Close() { f.prod.Close() }
@@ -473,8 +482,8 @@ func (f *Feed) FeedIPFIX(msg []byte) error {
 // arena and feeds the decoded batch to the pipeline. The arena must
 // arrive Reset; its backing storage is reused across messages, so the
 // whole decode-to-dispatch path runs without steady-state allocation.
-// Feed satisfies collector.ArenaFeed through this pair, which is how
-// the socket layer's per-lane arenas reach the decoders.
+// Feed satisfies collector.ArenaFeed through this pair and Flush,
+// which is how the socket layer's per-lane arenas reach the decoders.
 func (f *Feed) FeedNetFlowBatch(msg []byte, arena *flow.Batch) error {
 	err := f.nf.FeedInto(msg, arena)
 	f.observeBatch(arena.Records()) // records decoded before a mid-message error still count
@@ -588,12 +597,8 @@ type Server struct {
 	det    *Detector
 	window WindowConfig
 
-	stop    chan struct{} // stops the periodic rotator
-	rotDone chan struct{}
-	// tuneStop/tuneDone bound the adaptive batch-size tuner, which
-	// follows the collector's smoothed ingest rate.
-	tuneStop chan struct{}
-	tuneDone chan struct{}
+	stop     chan struct{} // stops the periodic rotator
+	rotDone  chan struct{}
 	stopOnce sync.Once
 	// cutMu serializes window cuts (periodic, RotateNow, final) so
 	// exports and log markers are delivered in sequence order.
@@ -650,33 +655,7 @@ func (d *Detector) Listen(cfg ListenConfig) (*Server, error) {
 		s.rotDone = make(chan struct{}) // haystack:unbounded close-only rotator-exit acknowledgement
 		go s.rotator()
 	}
-	tick := cfg.Tick
-	if tick <= 0 {
-		tick = time.Second
-	}
-	s.tuneStop = make(chan struct{}) // haystack:unbounded close-only shutdown signal for the tuner
-	s.tuneDone = make(chan struct{}) // haystack:unbounded close-only tuner-exit acknowledgement
-	go s.batchTuner(tick)
 	return s, nil
-}
-
-// batchTuner retunes the pipeline's dispatch threshold to the fan-in
-// controller's smoothed ingest rate, once per controller tick: higher
-// sustained rates earn larger batches (fewer handoffs per record),
-// while a quiet deployment keeps batches small so observations reach
-// the shards promptly. See pipeline.AdaptiveBatchSize for the policy.
-func (s *Server) batchTuner(tick time.Duration) {
-	defer close(s.tuneDone)
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.tuneStop:
-			return
-		case <-t.C:
-			s.det.pipe.SetBatchSize(pipeline.AdaptiveBatchSize(s.Server.Stats().RateEWMA))
-		}
-	}
 }
 
 // rotator cuts a window every cfg.Window.Every until Close.
@@ -730,10 +709,6 @@ func (s *Server) Close() error {
 			close(s.stop)
 			<-s.rotDone
 		}
-		if s.tuneStop != nil {
-			close(s.tuneStop)
-			<-s.tuneDone
-		}
 		if s.window.Every > 0 || s.window.OnRotate != nil || s.log != nil {
 			s.rotateAndDeliver()
 		}
@@ -758,10 +733,6 @@ func (s *Server) Kill() error {
 		if s.stop != nil {
 			close(s.stop)
 			<-s.rotDone
-		}
-		if s.tuneStop != nil {
-			close(s.tuneStop)
-			<-s.tuneDone
 		}
 		s.finishLog()
 	})
@@ -815,9 +786,10 @@ type DetectorStats struct {
 	// InflightBatches is the pipeline-side queue depth: observation
 	// batches dispatched to shard workers but not yet applied.
 	InflightBatches int `json:"inflight_batches"`
-	// BatchSize is the pipeline's current dispatch threshold
-	// (observations per shard batch). Under Listen it tracks the
-	// collector's smoothed ingest rate via pipeline.AdaptiveBatchSize.
+	// BatchSize is the pipeline's dispatch threshold: the observations
+	// a feed buffers per shard before it hands a full batch on. It is
+	// fixed at pipeline.DefaultBatchSize; under Listen feeds also hand
+	// on partial batches whenever their lane's queue drains.
 	BatchSize int `json:"batch_size"`
 	// Windows is the number of completed aggregation windows
 	// (Rotate/Reset cuts); the current window's sequence number.

@@ -42,6 +42,7 @@ import (
 	"math"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,16 +79,24 @@ type Feed interface {
 }
 
 // ArenaFeed is the optional batch extension of Feed: a feed that can
-// decode a wire message into a caller-owned record arena and observe
-// the whole batch before returning. Lanes probe for it once per
-// datagram and hand over their per-lane arena (recycled alongside the
-// receive buffers, one arena per lane regardless of how many sources
-// the lane carries), so a decode allocates nothing in steady state.
-// The feed gets the arena already Reset, may leave anything in it,
-// and must not retain it past the call.
+// decode a wire message into a caller-owned record arena. Lanes probe
+// for it once per source and hand over their per-lane arena (recycled
+// alongside the receive buffers, one arena per lane regardless of how
+// many sources the lane carries), so a decode allocates nothing in
+// steady state. The feed gets the arena already Reset, may leave
+// anything in it, and must not retain it past the call.
+//
+// The feed may buffer what it decoded instead of handing it on at
+// once. Its lane calls Flush whenever its queue drains — after the
+// last queued datagram is decoded — on every feed it drove since the
+// previous flush, so a quiet exporter's records never wait for more
+// traffic. Batches grow with the backlog: a busy lane rarely idles and
+// its feeds dispatch full batches, while a lightly loaded lane
+// flushes after nearly every datagram.
 type ArenaFeed interface {
 	FeedNetFlowBatch(msg []byte, arena *flow.Batch) error
 	FeedIPFIXBatch(msg []byte, arena *flow.Batch) error
+	Flush()
 }
 
 // Proto selects the wire protocol of a listener.
@@ -377,7 +386,12 @@ type worker struct {
 	// metrics readers can iterate a consistent view); the worker's
 	// own lock-free reads race with nothing.
 	mu    sync.Mutex
-	feeds map[sourceKey]Feed
+	feeds map[sourceKey]*laneFeed
+
+	// fed lists the batch feeds decoded into since the lane's last
+	// flush; the lane flushes them when its queue drains. Owned by the
+	// lane goroutine.
+	fed []*laneFeed
 
 	sources   atomic.Int64  // sticky exporter sources assigned here
 	enqueued  atomic.Uint64 // messages accepted onto ch (incl. control)
@@ -397,15 +411,40 @@ type worker struct {
 	retiredGaps    atomic.Uint64
 }
 
+// laneFeed is one source's feed as its lane holds it.
+type laneFeed struct {
+	Feed
+	batch ArenaFeed // the feed's batch form; nil when it has none
+	fed   bool      // on the lane's fed list
+}
+
+// newLaneFeed wraps a new source's feed, probing once for its batch
+// form.
+func newLaneFeed(f Feed) *laneFeed {
+	af, _ := f.(ArenaFeed)
+	return &laneFeed{Feed: f, batch: af}
+}
+
 // feedList snapshots the lane's per-source feeds for metrics readers.
 func (w *worker) feedList() []Feed {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	out := make([]Feed, 0, len(w.feeds))
 	for _, f := range w.feeds {
-		out = append(out, f)
+		out = append(out, f.Feed)
 	}
 	return out
+}
+
+// flush hands on everything the lane's feeds buffered since the last
+// flush. The lane calls it when its queue is empty.
+func (w *worker) flush() {
+	for _, f := range w.fed {
+		f.batch.Flush()
+		f.fed = false
+	}
+	clear(w.fed) // a torn-down feed must not stay reachable from here
+	w.fed = w.fed[:0]
 }
 
 // Server binds the configured sockets and fans wire messages into
@@ -478,7 +517,7 @@ func Listen(cfg Config, newFeed func() Feed) (*Server, error) {
 		s.workers[i] = &worker{
 			idx:   i,
 			ch:    make(chan datagram, cfg.QueueLen),
-			feeds: make(map[sourceKey]Feed),
+			feeds: make(map[sourceKey]*laneFeed),
 			arena: flow.NewBatch(512),
 		}
 	}
@@ -770,6 +809,10 @@ func (s *Server) startWorker(w *worker) {
 		defer s.tasks.Done()
 		for d := range w.ch {
 			s.decode(w, d)
+			if len(w.ch) == 0 {
+				// Queue drained: hand on what the feeds buffered.
+				w.flush()
+			}
 		}
 		for _, f := range w.feedList() {
 			f.Close()
@@ -790,6 +833,11 @@ func (s *Server) decode(w *worker, d datagram) {
 		// assignment exists either way — connLoop only announces
 		// sources it routed.
 		if f := w.feeds[d.src]; f != nil {
+			// Close flushes the feed itself; no later lane flush may
+			// touch it.
+			if i := slices.Index(w.fed, f); i >= 0 {
+				w.fed = slices.Delete(w.fed, i, i+1)
+			}
 			f.Close()
 			fs := f.Stats()
 			// Remove the feed before crediting its totals to the
@@ -830,20 +878,25 @@ func (s *Server) decode(w *worker, d datagram) {
 	}
 	feed := w.feeds[d.src] // lock-free: only this goroutine writes
 	if feed == nil {
-		feed = s.newFeed()
+		feed = newLaneFeed(s.newFeed())
 		w.mu.Lock()
 		w.feeds[d.src] = feed
 		w.mu.Unlock()
 	}
 	var err error
-	if af, ok := feed.(ArenaFeed); ok {
+	if af := feed.batch; af != nil {
 		// Batch hot path: decode the whole message into the lane's
-		// recycled arena; the feed observes the batch before returning.
+		// recycled arena; the feed may buffer the batch until the lane
+		// flushes it.
 		w.arena.Reset()
 		if proto == ProtoNetFlow {
 			err = af.FeedNetFlowBatch(msg, w.arena)
 		} else {
 			err = af.FeedIPFIXBatch(msg, w.arena)
+		}
+		if !feed.fed {
+			feed.fed = true
+			w.fed = append(w.fed, feed)
 		}
 	} else if proto == ProtoNetFlow {
 		err = feed.FeedNetFlow(msg)

@@ -69,7 +69,11 @@ type FireEvent struct {
 }
 
 // DefaultBatchSize is the number of observations buffered per shard
-// before a batch is handed to its worker.
+// before a batch is handed to its worker. It is the threshold every
+// pipeline starts with and the one a Detector's server keeps for its
+// whole life: the socket layer hands partial batches on whenever a
+// decode lane goes idle (Producer.Flush), so low-rate observations do
+// not wait for a batch to fill.
 const DefaultBatchSize = 512
 
 // MinBatchSize and MaxBatchSize bound SetBatchSize: below the floor
@@ -81,16 +85,15 @@ const (
 )
 
 // batchLatencyBudget is the dwell time AdaptiveBatchSize aims for: a
-// partial batch should represent about this many seconds of ingest,
-// so dispatch overhead is amortized at high rates without letting
-// low-rate observations linger in producer buffers.
+// partial batch should represent about this many seconds of ingest.
 const batchLatencyBudget = 0.002
 
-// AdaptiveBatchSize maps an observed ingest rate in records/s — in a
-// deployment, the fan-in controller's EWMA — to a dispatch threshold:
-// about batchLatencyBudget worth of records, clamped to
-// [MinBatchSize, MaxBatchSize]. A rate of zero or below (controller
-// not yet seeded) keeps DefaultBatchSize.
+// AdaptiveBatchSize maps an ingest rate in records/s to a dispatch
+// threshold for SetBatchSize: about batchLatencyBudget worth of
+// records, clamped to [MinBatchSize, MaxBatchSize]. A rate of zero or
+// below keeps DefaultBatchSize. No server path uses it: a Detector's
+// server keeps DefaultBatchSize and flushes when its lanes go idle.
+// It remains for drivers that run a bare pipeline at a known rate.
 func AdaptiveBatchSize(rate float64) int {
 	if rate <= 0 {
 		return DefaultBatchSize
@@ -131,9 +134,8 @@ type shard struct {
 type Pipeline struct {
 	dict   *rules.Dictionary
 	shards []*shard
-	// batchSize is the per-shard dispatch threshold. Atomic so the
-	// fan-in controller can retune it (SetBatchSize) while producers
-	// are live.
+	// batchSize is the per-shard dispatch threshold. Atomic so
+	// SetBatchSize may retune it while producers are live.
 	batchSize atomic.Int32
 	workers   sync.WaitGroup
 
@@ -488,7 +490,8 @@ func (p *Pipeline) BatchSize() int { return int(p.batchSize.Load()) }
 // [MinBatchSize, MaxBatchSize]. Safe to call while producers are
 // live: buffers already allocated keep their capacity and dispatch at
 // whichever threshold their next append observes, so retuning never
-// loses or reorders observations.
+// loses or reorders observations. No server path calls it; it is for
+// embedders and drivers of a bare pipeline.
 func (p *Pipeline) SetBatchSize(n int) {
 	if n < MinBatchSize {
 		n = MinBatchSize

@@ -23,16 +23,16 @@ import (
 	"repro/internal/simtime"
 )
 
-// merossMsgs builds NetFlow v9 messages whose single record fires the
-// single-domain Meross rule for the given subscriber address.
-func merossMsgs(t *testing.T, s *System, src netip.Addr, h simtime.Hour, srcID uint32) [][]byte {
+// merossRecord is a flow record that fires the single-domain Meross
+// rule for the given subscriber address.
+func merossRecord(t *testing.T, s *System, src netip.Addr, h simtime.Hour) flow.Record {
 	t.Helper()
 	ips := s.lab.W.ResolverOn(h.Day()).Resolve("mqtt.simmeross.example")
 	if len(ips) == 0 {
 		t.Fatal("meross does not resolve")
 	}
 	dom := s.lab.W.Catalog.Domains["mqtt.simmeross.example"]
-	rec := flow.Record{
+	return flow.Record{
 		Key: flow.Key{
 			Src: src, Dst: ips[0],
 			SrcPort: 50123, DstPort: dom.Port, Proto: flow.ProtoTCP,
@@ -40,6 +40,13 @@ func merossMsgs(t *testing.T, s *System, src netip.Addr, h simtime.Hour, srcID u
 		Packets: 3, Bytes: 1800, TCPFlags: 0x18,
 		Hour: h,
 	}
+}
+
+// merossMsgs builds NetFlow v9 messages whose single record fires the
+// single-domain Meross rule for the given subscriber address.
+func merossMsgs(t *testing.T, s *System, src netip.Addr, h simtime.Hour, srcID uint32) [][]byte {
+	t.Helper()
+	rec := merossRecord(t, s, src, h)
 	msgs, err := netflow.NewExporter(srcID).Export([]flow.Record{rec}, 30)
 	if err != nil {
 		t.Fatal(err)
